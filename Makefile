@@ -1,7 +1,7 @@
 GO ?= go
 COVER_FLOOR ?= 70
 
-.PHONY: all build vet test race bench bench-smoke bench-json bench-compare pgo fuzz ci cover family-diff shard-diff resolve-diff plan-diff serve loadtest churn-replay slo-replay
+.PHONY: all build vet test race bench bench-smoke bench-json bench-compare pgo fuzz ci cover family-diff shard-diff resolve-diff plan-diff perfbench-selftest serve loadtest churn-replay slo-replay
 
 all: ci
 
@@ -76,6 +76,14 @@ resolve-diff:
 plan-diff:
 	$(GO) test -race -run 'TestPlan|TestSpec|TestAdaptive' . ./internal/core ./internal/server
 	$(GO) test -race ./internal/plan
+
+# perfbench-selftest builds the repository benchmark (perfbench/, a
+# separate module that `go test ./...` never compiles) and runs its
+# self-test. perfbench calls internal stage entry points such as
+# pattern.Enumerate and classify.Classify directly, so this is the gate
+# that notices when an internal API change breaks the benchmark.
+perfbench-selftest:
+	bash perfbench/run.sh --selftest
 
 # bench runs every benchmark in the repository, including the internal
 # package benchmarks (pattern, placer, pipeline, milp, numeric).

@@ -234,8 +234,8 @@ type Spec struct {
 	// Portfolio, when non-nil, races these backends per guess in
 	// tie-break order (implies BackendPortfolio). See WithPortfolio.
 	Portfolio []OracleBackend
-	// PatternLimit bounds pattern enumeration (0 = default 20000). See
-	// WithPatternLimit.
+	// PatternLimit bounds pattern enumeration (0 = default
+	// pattern.DefaultLimit, 4000). See WithPatternLimit.
 	PatternLimit int
 	// MILPNodes bounds branch-and-bound nodes per guess (0 = default).
 	// See WithMILPNodes.
@@ -344,9 +344,10 @@ func WithPortfolio(backends ...OracleBackend) Option {
 	}
 }
 
-// WithPatternLimit bounds pattern enumeration (default 20000). Makespan
-// guesses whose pattern space exceeds the limit are rejected, degrading
-// gracefully toward the bag-LPT fallback.
+// WithPatternLimit bounds pattern enumeration (default
+// pattern.DefaultLimit, 4000). Makespan guesses whose pattern space
+// exceeds the limit are rejected, degrading gracefully toward the
+// bag-LPT fallback.
 func WithPatternLimit(limit int) Option {
 	return func(o *core.Options) { o.PatternLimit = limit }
 }

@@ -7,7 +7,7 @@ package classify
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/numeric"
 	"repro/internal/sched"
@@ -118,12 +118,36 @@ func thresholds(eps float64, k int) (float64, float64) {
 }
 
 // Classify analyses a scaled-and-rounded instance (sizes are expected to
-// be at most ~1+eps, i.e. relative to a makespan guess of 1).
+// be at most ~1+eps, i.e. relative to a makespan guess of 1). It is
+// Prepare followed by Select.
 func Classify(in *sched.Instance, eps float64, opt Options) (*Info, error) {
+	b, err := Prepare(in, eps)
+	if err != nil {
+		return nil, err
+	}
+	return b.Select(opt), nil
+}
+
+// Base is the part of a classification that does not depend on the
+// priority cap: the Lemma 1 band, the size table, the per-job views, the
+// size-restricted bag counts, the large bags and the Definition 2 ranking
+// of bags per large size. A degradation ladder prepares one Base per
+// makespan guess and calls Select once per cap.
+type Base struct {
+	// info is the classification without BPrime and Priority.
+	info Info
+	// rank[si] lists the bags holding jobs of size index si, fullest
+	// first and ties by increasing bag id; nil unless si is large.
+	rank [][]int
+}
+
+// Prepare runs every cap-independent step of Classify on in.
+func Prepare(in *sched.Instance, eps float64) (*Base, error) {
 	if eps <= 0 || eps >= 1 {
 		return nil, fmt.Errorf("classify: eps must be in (0,1), got %g", eps)
 	}
-	info := &Info{Eps: eps, T: 1 + 2*eps + eps*eps}
+	base := &Base{info: Info{Eps: eps, T: 1 + 2*eps + eps*eps}}
+	info := &base.info
 
 	// Lemma 1: pick the smallest k in {1..ceil(1/eps^2)} whose band area
 	// sum{p_j : p_j in [eps^(k+1), eps^k)} is at most eps^2*(1+eps)*m.
@@ -184,10 +208,12 @@ func Classify(in *sched.Instance, eps float64, opt Options) (*Info, error) {
 		info.JobClass[j] = info.SizeClass[idx]
 	}
 
-	// Size-restricted bag counts.
+	// Size-restricted bag counts, one backing array for all bags.
+	nSizes := len(info.Sizes)
+	flat := make([]int, in.NumBags*nSizes)
 	info.Counts = make([][]int, in.NumBags)
 	for b := range info.Counts {
-		info.Counts[b] = make([]int, len(info.Sizes))
+		info.Counts[b] = flat[b*nSizes : (b+1)*nSizes : (b+1)*nSizes]
 	}
 	for j, job := range in.Jobs {
 		info.Counts[job.Bag][info.JobSize[j]]++
@@ -208,6 +234,38 @@ func Classify(in *sched.Instance, eps float64, opt Options) (*Info, error) {
 		}
 	}
 
+	// Definition 2 ranking: per large size s, the bags by decreasing
+	// number of size-s jobs, ties by increasing id. Sorting packed
+	// (complemented count, bag) keys yields exactly that order.
+	base.rank = make([][]int, nSizes)
+	keys := make([]uint64, 0, in.NumBags)
+	for si, cls := range info.SizeClass {
+		if cls != Large {
+			continue
+		}
+		keys = keys[:0]
+		for b := range info.Counts {
+			if c := info.Counts[b][si]; c > 0 {
+				keys = append(keys, (math.MaxUint32-uint64(c))<<32|uint64(b))
+			}
+		}
+		slices.Sort(keys)
+		order := make([]int, len(keys))
+		for i, k := range keys {
+			order[i] = int(k & math.MaxUint32)
+		}
+		base.rank[si] = order
+	}
+	return base, nil
+}
+
+// Select finishes the classification for one priority cap: the
+// Definition 2 constant b' and the priority bags. The returned Info
+// shares every cap-independent slice with the Base (all read-only).
+func (base *Base) Select(opt Options) *Info {
+	info := base.info
+	numBags := len(info.LargeBag)
+
 	// Priority bags (Definition 2): per large size s, the b' bags with
 	// the most size-s jobs, plus every large bag. The theoretical
 	// b' = (d*q+1)*q is capped by the number of bags present.
@@ -215,42 +273,23 @@ func Classify(in *sched.Instance, eps float64, opt Options) (*Info, error) {
 	if opt.BPrimeOverride > 0 && info.BPrime > opt.BPrimeOverride {
 		info.BPrime = opt.BPrimeOverride
 	}
-	if info.BPrime > in.NumBags {
-		info.BPrime = in.NumBags
+	if info.BPrime > numBags {
+		info.BPrime = numBags
 	}
-	info.Priority = make([]bool, in.NumBags)
+	info.Priority = make([]bool, numBags)
 	if opt.AllPriority {
 		for b := range info.Priority {
 			info.Priority[b] = true
 		}
-		return info, nil
+		return &info
 	}
-	copy(info.Priority, boolsFrom(info.LargeBag))
-	for si, cls := range info.SizeClass {
-		if cls != Large {
-			continue
-		}
-		order := make([]int, 0, in.NumBags)
-		for b := 0; b < in.NumBags; b++ {
-			if info.Counts[b][si] > 0 {
-				order = append(order, b)
-			}
-		}
-		sort.SliceStable(order, func(a, c int) bool {
-			ca, cc := info.Counts[order[a]][si], info.Counts[order[c]][si]
-			if ca != cc {
-				return ca > cc
-			}
-			return order[a] < order[c]
-		})
-		for rank, b := range order {
-			if rank >= info.BPrime {
-				break
-			}
+	copy(info.Priority, info.LargeBag)
+	for _, order := range base.rank {
+		for _, b := range order[:min(len(order), info.BPrime)] {
 			info.Priority[b] = true
 		}
 	}
-	return info, nil
+	return &info
 }
 
 // ClassOf returns the class of an arbitrary size under this
@@ -287,20 +326,18 @@ func classOf(size, epsK, epsK1 float64) Class {
 // distinctSizesDesc returns the distinct job sizes of in in decreasing
 // order, merging sizes equal within tolerance.
 func distinctSizesDesc(in *sched.Instance) []float64 {
-	sizes := make([]float64, 0, len(in.Jobs))
-	for _, j := range in.Jobs {
-		sizes = append(sizes, j.Size)
+	sizes := make([]float64, len(in.Jobs))
+	for i, j := range in.Jobs {
+		sizes[i] = j.Size
 	}
-	sort.Sort(sort.Reverse(sort.Float64Slice(sizes)))
-	out := sizes[:0]
-	for _, s := range sizes {
-		if len(out) == 0 || !numeric.Eq(out[len(out)-1], s) {
+	slices.Sort(sizes)
+	var out []float64
+	for i := len(sizes) - 1; i >= 0; i-- {
+		if s := sizes[i]; len(out) == 0 || !numeric.Eq(out[len(out)-1], s) {
 			out = append(out, s)
 		}
 	}
-	res := make([]float64, len(out))
-	copy(res, out)
-	return res
+	return out
 }
 
 // findSize locates size in the decreasing slice sizes within tolerance.
@@ -324,10 +361,4 @@ func findSize(sizes []float64, size float64) int {
 		}
 	}
 	return -1
-}
-
-func boolsFrom(src []bool) []bool {
-	out := make([]bool, len(src))
-	copy(out, src)
-	return out
 }

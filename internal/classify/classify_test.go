@@ -3,6 +3,7 @@ package classify
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -247,6 +248,59 @@ func TestSizesTableSortedDistinct(t *testing.T) {
 		si := info.JobSize[j]
 		if math.Abs(info.Sizes[si]-in.Jobs[j].Size) > 1e-9 {
 			t.Errorf("job %d mapped to wrong size", j)
+		}
+	}
+}
+
+func TestPriorityTiesFavorLowerBagIDs(t *testing.T) {
+	eps := 0.5
+	in := sched.NewInstance(64)
+	in.NumBags = 6
+	v, _ := round.UpGeometric(0.9, eps)
+	for _, b := range []int{5, 2, 3, 5, 2} { // bags 2 and 5 hold two each, bag 3 one
+		in.AddJob(v, b)
+	}
+	for bp, want := range map[int][]int{1: {2}, 2: {2, 5}, 3: {2, 3, 5}} {
+		info, err := Classify(in, eps, Options{BPrimeOverride: bp})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []int
+		for b, p := range info.Priority {
+			if p {
+				got = append(got, b)
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("cap %d: priority bags %v, want %v", bp, got, want)
+		}
+	}
+}
+
+func TestSelectOnSharedBaseMatchesClassify(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	opts := []Options{{}, {BPrimeOverride: 4}, {BPrimeOverride: 2}, {BPrimeOverride: 1}, {AllPriority: true}, {}}
+	for trial := 0; trial < 50; trial++ {
+		eps := []float64{0.3, 0.5}[trial%2]
+		n := 10 + rng.Intn(60)
+		sizes, bags := make([]float64, n), make([]int, n)
+		for i := range sizes {
+			sizes[i] = 0.01 + 1.2*rng.Float64()
+			bags[i] = rng.Intn(12)
+		}
+		in := roundedInstance(4+rng.Intn(12), eps, sizes, bags)
+		base, err := Prepare(in, eps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, opt := range opts {
+			want, err := Classify(in, eps, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := base.Select(opt); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d %+v: Select on a shared base differs from Classify:\n got %+v\nwant %+v", trial, opt, got, want)
+			}
 		}
 	}
 }

@@ -355,7 +355,7 @@ type solveEnv struct {
 // complete early result (empty instance, or a provably optimal
 // fallback) and no search runs.
 func prepareSolve(ctx context.Context, in *sched.Instance, opt Options) (*solveEnv, error) {
-	if err := ctx.Err(); err != nil {
+	if err := ctxErr(ctx); err != nil {
 		// An already-dead context aborts before any work — including the
 		// early-return paths (empty instance, provably optimal bag-LPT)
 		// that never reach the search loop's own ctx checks.
@@ -480,7 +480,7 @@ func (env *solveEnv) finish(ctx context.Context, search round.SearchResult) (*Re
 	res.Stats.StageTime = m.StageTime
 	res.Memo = env.engine.Cache()
 
-	if err := ctx.Err(); err != nil {
+	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
 
@@ -506,6 +506,21 @@ func (env *solveEnv) finish(ctx context.Context, search round.SearchResult) (*Re
 	res.Makespan = search.Makespan
 	env.setQuality(plan.RungEPTAS)
 	return res, nil
+}
+
+// ctxErr is ctx.Err(), except that a deadline already past counts as
+// exceeded even before the context's timer has fired. On a busy single
+// CPU that timer's goroutine can run many milliseconds late, and a
+// search that finishes in that window must not be reported as made in
+// time.
+func ctxErr(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if d, ok := ctx.Deadline(); ok && !time.Now().Before(d) {
+		return context.DeadlineExceeded
+	}
+	return nil
 }
 
 // RunPipeline executes the full per-guess pipeline of the EPTAS for one

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/greedy"
+	"repro/internal/round"
 	"repro/internal/workload"
 )
 
@@ -145,6 +146,41 @@ func TestSolveContextTimeoutMidSolve(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Errorf("canceled solve still took %s", elapsed)
+	}
+}
+
+// lateTimerCtx reports a deadline that has passed while Err still says
+// nil: a context whose timer goroutine has not run yet, as happens on a
+// busy single CPU.
+type lateTimerCtx struct {
+	context.Context
+	deadline time.Time
+}
+
+func (c lateTimerCtx) Deadline() (time.Time, bool) { return c.deadline, true }
+
+// TestSolvePastDeadlineBeforeTimerFires checks that a solve reports
+// DeadlineExceeded once its deadline has passed even when the context's
+// timer has not fired yet — at entry, and when a search finishes late —
+// so a fast solve cannot beat its own deadline.
+func TestSolvePastDeadlineBeforeTimerFires(t *testing.T) {
+	in := workload.MustGenerate(workload.Spec{
+		Family: workload.Bimodal, Machines: 6, Jobs: 24, Bags: 8, Seed: 1,
+	})
+	opt := Options{Eps: 0.5, Speculate: 1}
+	late := lateTimerCtx{Context: context.Background(), deadline: time.Now().Add(-time.Millisecond)}
+	if _, err := SolveContext(late, in, opt); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("SolveContext returned %v, want context.DeadlineExceeded", err)
+	}
+
+	env, err := prepareSolve(context.Background(), in, opt)
+	if err != nil || env.done {
+		t.Fatalf("prepareSolve: done=%v err=%v, want a search to run", env != nil && env.done, err)
+	}
+	eval, commit := env.searchFuncs()
+	search := round.SearchGridSeq(context.Background(), env.lb, env.ub, round.GridRatio(opt.Eps), 0, eval, commit)
+	if _, err := env.finish(late, search); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("finish after the deadline returned %v, want context.DeadlineExceeded", err)
 	}
 }
 

@@ -2,6 +2,7 @@ package pattern
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"repro/internal/classify"
@@ -53,3 +54,18 @@ func BenchmarkEnumerateFixed_Eps050(b *testing.B)      { benchEnumerate(b, 0.5, 
 func BenchmarkEnumerateFloat64Ref_Eps050(b *testing.B) { benchEnumerate(b, 0.5, true) }
 func BenchmarkEnumerateFixed_Eps040(b *testing.B)      { benchEnumerate(b, 0.4, false) }
 func BenchmarkEnumerateFloat64Ref_Eps040(b *testing.B) { benchEnumerate(b, 0.4, true) }
+
+// BenchmarkEnumerateOverLimit measures the rejection of a space over
+// DefaultLimit (175,728 patterns): the counting pass alone, which must
+// stop at the limit without materializing a pattern.
+func BenchmarkEnumerateOverLimit(b *testing.B) {
+	tr := wideSpace(b, 0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, err := Enumerate(context.Background(), tr.Inst, tr.View, tr.Priority, Options{})
+		if !errors.As(err, new(ErrTooManyPatterns)) {
+			b.Fatalf("err = %v, want ErrTooManyPatterns", err)
+		}
+	}
+}

@@ -13,6 +13,16 @@
 // are bit-for-bit result-identical (the differential tests assert it)
 // because every enumerated height is an exact grid value in either
 // representation.
+//
+// Enumeration is count-first. A pattern space can be far larger than the
+// limit the downstream MILP tolerates, and most guesses of a degradation
+// ladder hit that limit. So the default path first counts the space in a
+// DFS that allocates nothing and stops as soon as the count exceeds the
+// limit; only a space within the limit is materialized, into slices sized
+// exactly from the count. Rejecting an over-limit space therefore costs
+// a walk over about Limit leaves and no pattern allocations. The
+// float64 reference path keeps the seed's emit-and-check enumeration, so
+// the differential tests compare the count-first decision against it.
 package pattern
 
 import (
@@ -108,8 +118,10 @@ func (e ErrTooManyPatterns) Error() string {
 
 // DefaultLimit is the default pattern-enumeration bound. It is sized so
 // that the downstream MILP (whose LP has one column per pattern) stays
-// tractable for the dense simplex solver; guesses whose pattern space
-// exceeds it are rejected quickly and the driver degrades gracefully.
+// tractable for the dense simplex solver. Enumerate counts a space before
+// it builds one, so a guess whose space exceeds the bound is rejected
+// once the count passes it, without allocating a single pattern, and the
+// driver degrades gracefully.
 const DefaultLimit = 4000
 
 // Options tunes enumeration.
@@ -133,92 +145,89 @@ type enumState struct {
 	xs    []int
 	cur   Pattern
 	err   error
-	slots slotArena
-	ints  intArena
+	// slots and ints back the per-pattern Prio and XCount slices (see
+	// appendWindow).
+	slots []PrioSlot
+	ints  []int
+	// n and nSlots are the counting pass's pattern and priority-slot
+	// totals; tallies counts its leaf groups for context polling.
+	n, nSlots, tallies int
 }
 
-// slotArena and intArena bulk-allocate the per-pattern Prio and XCount
-// slices in chunks: emitting a pattern costs amortized zero allocations
-// instead of two. Handed-out slices are capped (three-index slicing) and
-// chunks are never grown in place, so earlier patterns are never
-// clobbered; Pattern slices are read-only downstream.
-// arenaChunk doubles the chunk size from 64 entries up to 8192, so tiny
-// spaces stay cheap while huge ones amortize to near-zero allocations.
-func arenaChunk(prev, need int) int {
-	n := prev * 2
-	if n < 64 {
-		n = 64
-	}
-	if n > 8192 {
-		n = 8192
-	}
-	if need > n {
-		n = need
-	}
-	return n
-}
-
-type slotArena struct {
-	buf   []PrioSlot
-	chunk int
-}
-
-func (a *slotArena) clone(s []PrioSlot) []PrioSlot {
+// appendWindow appends s to *buf and returns the appended window, capped
+// (three-index slicing) so no later append writes into it. A window stays
+// valid when *buf reallocates: it keeps pointing at the old array, which
+// nothing writes again. Pattern slices are read-only downstream.
+func appendWindow[T any](buf *[]T, s []T) []T {
 	if len(s) == 0 {
 		return nil
 	}
-	if cap(a.buf)-len(a.buf) < len(s) {
-		a.chunk = arenaChunk(a.chunk, len(s))
-		a.buf = make([]PrioSlot, 0, a.chunk)
-	}
-	start := len(a.buf)
-	a.buf = append(a.buf, s...)
-	return a.buf[start:len(a.buf):len(a.buf)]
-}
-
-type intArena struct {
-	buf   []int
-	chunk int
-}
-
-func (a *intArena) clone(s []int) []int {
-	if len(s) == 0 {
-		return nil
-	}
-	if cap(a.buf)-len(a.buf) < len(s) {
-		a.chunk = arenaChunk(a.chunk, len(s))
-		a.buf = make([]int, 0, a.chunk)
-	}
-	start := len(a.buf)
-	a.buf = append(a.buf, s...)
-	return a.buf[start:len(a.buf):len(a.buf)]
+	start := len(*buf)
+	*buf = append(*buf, s...)
+	return (*buf)[start:len(*buf):len(*buf)]
 }
 
 // Enumerate builds the pattern space for the transformed instance in,
 // whose numeric view (per-job size indices and classes) is view and
-// whose bag priority flags are given by prio (length in.NumBags). The
-// context is polled once per emitted pattern; a canceled or expired ctx
-// aborts the enumeration and returns ctx.Err(), so abandoned speculative
-// pipelines stop burning CPU on large spaces.
+// whose bag priority flags are given by prio (length in.NumBags).
+//
+// The default path counts the space first, in an allocation-free DFS
+// that mirrors the emitting one and stops as soon as the count passes
+// the limit. A space over the limit is rejected with ErrTooManyPatterns
+// before any pattern is built; one within it is materialized into
+// exactly sized slices. The context is polled periodically while
+// counting and once per emitted pattern; a canceled or expired ctx
+// aborts the enumeration and returns ctx.Err() (also in preference to
+// ErrTooManyPatterns), so abandoned speculative pipelines stop burning
+// CPU on large spaces.
 func Enumerate(ctx context.Context, in *sched.Instance, view *classify.View, prio []bool, opt Options) (*Space, error) {
-	info := view.Info
 	limit := opt.Limit
 	if limit <= 0 {
 		limit = DefaultLimit
 	}
+	st, err := newEnumState(in, view, prio, limit)
+	if err != nil {
+		return nil, err
+	}
+	sp := st.sp
+	if opt.Float64Ref {
+		st.enumPrioFloat(ctx, 0, 0, 0)
+	} else {
+		within := st.countPrioFixed(ctx, 0, 0, 0, 0)
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		if !within {
+			return nil, ErrTooManyPatterns{Limit: limit}
+		}
+		sp.Patterns = make([]Pattern, 0, st.n)
+		st.slots = make([]PrioSlot, 0, st.nSlots)
+		st.ints = make([]int, 0, st.n*len(sp.XSizes))
+		st.enumPrioFixed(ctx, 0, 0, 0)
+	}
+	if st.err != nil {
+		return nil, st.err
+	}
+	return sp, nil
+}
+
+// newEnumState derives the slot types of the space (X entries and
+// priority bags with their sizes) and returns the DFS state over them,
+// with no pattern enumerated yet.
+func newEnumState(in *sched.Instance, view *classify.View, prio []bool, limit int) (*enumState, error) {
+	info := view.Info
 	sp := &Space{T: info.T, Q: info.Q, Sizes: info.Sizes}
 
 	// Per-bag medium/large size counts on the transformed instance,
-	// resolved through the exact view (no per-job float searches).
-	counts := make([]map[int]int, in.NumBags)
-	for b := range counts {
-		counts[b] = make(map[int]int)
-	}
+	// resolved through the exact view (no per-job float searches):
+	// counts[b*nSizes+si] is the number of bag-b jobs of size index si.
+	nSizes := len(info.Sizes)
+	counts := make([]int, in.NumBags*nSizes)
 	for j, job := range in.Jobs {
 		if view.Class(j) == classify.Small {
 			continue
 		}
-		counts[job.Bag][view.JobIdx[j]]++
+		counts[job.Bag*nSizes+view.JobIdx[j]]++
 	}
 
 	// X entries: large sizes present in non-priority bags. (Medium jobs
@@ -226,35 +235,37 @@ func Enumerate(ctx context.Context, in *sched.Instance, view *classify.View, pri
 	// available job count caps the slot multiplicity: slots beyond the
 	// job supply can never be filled, so enumerating them only inflates
 	// the pattern space.
-	xAvail := make(map[int]int)
+	xAvail := make([]int, nSizes)
 	for b := 0; b < in.NumBags; b++ {
 		if prio[b] {
 			continue
 		}
-		for si, c := range counts[b] {
-			if info.SizeClass[si] == classify.Large {
-				xAvail[si] += c
-			} else if info.SizeClass[si] == classify.Medium {
+		for si, c := range counts[b*nSizes : (b+1)*nSizes] {
+			if c == 0 {
+				continue
+			}
+			if info.SizeClass[si] == classify.Medium {
 				return nil, fmt.Errorf("pattern: medium job in non-priority bag %d; instance not transformed", b)
 			}
+			xAvail[si] += c
 		}
 	}
 	var xCaps []int
-	for si := range info.Sizes { // decreasing size order
-		if xAvail[si] > 0 {
+	for si, c := range xAvail { // decreasing size order
+		if c > 0 {
 			sp.XSizes = append(sp.XSizes, si)
-			xCaps = append(xCaps, xAvail[si])
+			xCaps = append(xCaps, c)
 		}
 	}
 
 	// Priority bags with medium/large jobs.
 	for b := 0; b < in.NumBags; b++ {
-		if !prio[b] || len(counts[b]) == 0 {
+		if !prio[b] {
 			continue
 		}
 		var sizes []int
-		for si := range info.Sizes {
-			if counts[b][si] > 0 {
+		for si, c := range counts[b*nSizes : (b+1)*nSizes] {
+			if c > 0 {
 				sizes = append(sizes, si)
 			}
 		}
@@ -264,22 +275,13 @@ func Enumerate(ctx context.Context, in *sched.Instance, view *classify.View, pri
 		}
 	}
 
-	st := &enumState{
+	return &enumState{
 		sp:    sp,
 		info:  info,
 		limit: limit,
 		xCaps: xCaps,
 		xs:    make([]int, len(sp.XSizes)),
-	}
-	if opt.Float64Ref {
-		st.enumPrioFloat(ctx, 0, 0, 0)
-	} else {
-		st.enumPrioFixed(ctx, 0, 0, 0)
-	}
-	if st.err != nil {
-		return nil, st.err
-	}
-	return sp, nil
+	}, nil
 }
 
 // emit appends the current pattern. heightFx is exact; the float64
@@ -294,8 +296,8 @@ func (st *enumState) emit(ctx context.Context, heightFx numeric.Fx, jobs int) bo
 		return false
 	}
 	p := Pattern{
-		Prio:     st.slots.clone(st.cur.Prio),
-		XCount:   st.ints.clone(st.xs),
+		Prio:     appendWindow(&st.slots, st.cur.Prio),
+		XCount:   appendWindow(&st.ints, st.xs),
 		HeightFx: heightFx,
 		Height:   heightFx.Float(),
 		NumJobs:  jobs,
@@ -312,26 +314,32 @@ func (st *enumState) emit(ctx context.Context, heightFx numeric.Fx, jobs int) bo
 // TCapFx (see numeric.Cap), so the accepted pattern set is exactly the
 // float reference's.
 
-func (st *enumState) enumXFixed(ctx context.Context, i int, height numeric.Fx, jobs int) bool {
-	if i == len(st.sp.XSizes) {
-		return st.emit(ctx, height, jobs)
-	}
-	size := st.info.SizesFx[st.sp.XSizes[i]]
-	maxC := jobsLeft(st.sp.Q, jobs)
+// xMaxFixed is the largest multiplicity of X entry i that fits beside a
+// partial pattern of the given height and slot count.
+func (st *enumState) xMaxFixed(i int, height numeric.Fx, jobs int) int {
 	rem := st.info.TCapFx - height
 	if rem < 0 {
 		// Unreachable from Enumerate (callers never exceed the capacity),
 		// but mirror the float reference exactly: a negative remainder
 		// yields a negative multiplicity bound there, which emits nothing.
-		st.xs[i] = 0
-		return true
+		return -1
 	}
-	if c := int(rem / size); c < maxC {
+	maxC := jobsLeft(st.sp.Q, jobs)
+	if c := int(rem / st.info.SizesFx[st.sp.XSizes[i]]); c < maxC {
 		maxC = c
 	}
 	if st.xCaps[i] < maxC {
 		maxC = st.xCaps[i]
 	}
+	return maxC
+}
+
+func (st *enumState) enumXFixed(ctx context.Context, i int, height numeric.Fx, jobs int) bool {
+	if i == len(st.sp.XSizes) {
+		return st.emit(ctx, height, jobs)
+	}
+	size := st.info.SizesFx[st.sp.XSizes[i]]
+	maxC := st.xMaxFixed(i, height, jobs)
 	for c := 0; c <= maxC; c++ {
 		st.xs[i] = c
 		if !st.enumXFixed(ctx, i+1, height+size.MulInt(c), jobs+c) {
@@ -362,6 +370,70 @@ func (st *enumState) enumPrioFixed(ctx context.Context, i int, height numeric.Fx
 		ok := st.enumPrioFixed(ctx, i+1, h, jobs+1)
 		st.cur.Prio = st.cur.Prio[:len(st.cur.Prio)-1]
 		if !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// --- counting pass (default path) ---
+//
+// countPrioFixed and countXFixed walk the same tree as enumPrioFixed and
+// enumXFixed but only tally leaves (and the priority slots they would
+// hold, so the emitting pass can size its backing slices exactly). The
+// last X entry's choices are tallied in one step instead of one leaf at
+// a time. Every node of the tree has at least one leaf below it (the
+// "no slot" and zero-multiplicity branches always exist), so the walk
+// stops after O(limit × depth) steps however large the space is.
+
+// pollEvery is the number of leaf groups counted between context polls.
+const pollEvery = 256
+
+// tally adds k patterns holding nPrio priority slots each. It reports
+// false once the count passes the limit or the context is done.
+func (st *enumState) tally(ctx context.Context, k, nPrio int) bool {
+	if st.tallies%pollEvery == 0 && ctx.Err() != nil {
+		return false
+	}
+	st.tallies++
+	st.n += k
+	st.nSlots += k * nPrio
+	return st.n <= st.limit
+}
+
+func (st *enumState) countXFixed(ctx context.Context, i int, height numeric.Fx, jobs, nPrio int) bool {
+	if i == len(st.sp.XSizes) {
+		return st.tally(ctx, 1, nPrio)
+	}
+	maxC := st.xMaxFixed(i, height, jobs)
+	if i == len(st.sp.XSizes)-1 {
+		return maxC < 0 || st.tally(ctx, maxC+1, nPrio)
+	}
+	size := st.info.SizesFx[st.sp.XSizes[i]]
+	for c := 0; c <= maxC; c++ {
+		if !st.countXFixed(ctx, i+1, height+size.MulInt(c), jobs+c, nPrio) {
+			return false
+		}
+	}
+	return true
+}
+
+func (st *enumState) countPrioFixed(ctx context.Context, i int, height numeric.Fx, jobs, nPrio int) bool {
+	if i == len(st.sp.PrioBags) {
+		return st.countXFixed(ctx, 0, height, jobs, nPrio)
+	}
+	if !st.countPrioFixed(ctx, i+1, height, jobs, nPrio) {
+		return false
+	}
+	if jobs >= st.sp.Q {
+		return true
+	}
+	for _, si := range st.sp.PrioSizes[i] {
+		h := height + st.info.SizesFx[si]
+		if h > st.info.TCapFx {
+			continue
+		}
+		if !st.countPrioFixed(ctx, i+1, h, jobs+1, nPrio+1) {
 			return false
 		}
 	}

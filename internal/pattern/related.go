@@ -75,7 +75,7 @@ type relEnumState struct {
 	capFx  numeric.Fx
 	counts []int
 	class  []RelPattern
-	ints   intArena
+	ints   []int
 	err    error
 }
 
@@ -111,7 +111,7 @@ func (st *relEnumState) emit(ctx context.Context, heightFx numeric.Fx, jobs int)
 		return false
 	}
 	st.class = append(st.class, RelPattern{
-		Count:    st.ints.clone(st.counts),
+		Count:    appendWindow(&st.ints, st.counts),
 		HeightFx: heightFx,
 		Height:   heightFx.Float(),
 		NumJobs:  jobs,

@@ -121,7 +121,10 @@ type State struct {
 	// (1+eps); Exps holds the geometric exponent per job.
 	Scaled *sched.Instance
 	Exps   []int
-	// Info is the classification of Scaled.
+	// Base is the cap-independent part of the classification of Scaled,
+	// prepared by the first ladder rung and reused by the others.
+	Base *classify.Base
+	// Info is the classification of Scaled under the current rung's cap.
 	Info *classify.Info
 	// RelInfo and RelSpace are the related-family counterparts of Info
 	// and Space (family.ShapeRelated only).
@@ -153,7 +156,7 @@ type State struct {
 }
 
 // resetRung clears every artifact the ladder recomputes per priority cap,
-// keeping the guess-level Scale output.
+// keeping the guess-level Scale output and classification Base.
 func (st *State) resetRung() {
 	st.Info = nil
 	st.RelInfo = nil
@@ -220,14 +223,17 @@ type classifyStage struct{}
 
 func (classifyStage) Name() string { return "Classify" }
 func (classifyStage) Run(_ context.Context, st *State) error {
-	info, err := classify.Classify(st.Scaled, st.Cfg.Eps, classify.Options{
+	if st.Base == nil {
+		base, err := classify.Prepare(st.Scaled, st.Cfg.Eps)
+		if err != nil {
+			return err
+		}
+		st.Base = base
+	}
+	st.Info = st.Base.Select(classify.Options{
 		AllPriority:    st.Cfg.AllPriority,
 		BPrimeOverride: st.BPrime,
 	})
-	if err != nil {
-		return err
-	}
-	st.Info = info
 	return nil
 }
 

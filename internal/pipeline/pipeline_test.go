@@ -3,10 +3,12 @@ package pipeline
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/classify"
 	"repro/internal/greedy"
 	"repro/internal/sched"
 	"repro/internal/workload"
@@ -248,6 +250,35 @@ func TestEngineStageTimes(t *testing.T) {
 	for _, name := range StageNames() {
 		if _, ok := m.StageTime[name]; !ok {
 			t.Errorf("no stage time recorded for %s", name)
+		}
+	}
+}
+
+func TestClassifyStagePreparesOncePerGuess(t *testing.T) {
+	in, guess := testInstanceAndGuess(t)
+	st := &State{In: in, Guess: guess, Cfg: Config{Eps: 0.5}}
+	ctx := context.Background()
+	if err := stageScale.Run(ctx, st); err != nil {
+		t.Fatal(err)
+	}
+	var base *classify.Base
+	for _, bp := range []int{0, 4, 2, 1} {
+		st.resetRung()
+		st.BPrime = bp
+		if err := (classifyStage{}).Run(ctx, st); err != nil {
+			t.Fatal(err)
+		}
+		if base == nil {
+			base = st.Base
+		} else if st.Base != base {
+			t.Fatalf("cap %d: the rung prepared a new classification base", bp)
+		}
+		want, err := classify.Classify(st.Scaled, st.Cfg.Eps, classify.Options{BPrimeOverride: bp})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(st.Info, want) {
+			t.Fatalf("cap %d: stage classification differs from classify.Classify", bp)
 		}
 	}
 }
